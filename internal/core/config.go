@@ -249,5 +249,13 @@ func (c *Config) Validate() error {
 	if c.IssueInt < 1 || c.IssueMem < 1 || c.IssueFP < 1 || c.IssueSIMD < 1 {
 		return fmt.Errorf("core: zero issue width")
 	}
-	return nil
+	for _, n := range []int{c.IQSize, c.MQSize, c.FQSize, c.SQSize} {
+		if n > maxQueueCap {
+			return fmt.Errorf("core: issue queue size %d, want at most %d", n, maxQueueCap)
+		}
+	}
+	if lat := maxIssueLatency(c); lat >= wheelSize {
+		return fmt.Errorf("core: issue-to-result latency up to %d cycles, want under %d", lat, wheelSize)
+	}
+	return checkPhysRegs(c)
 }

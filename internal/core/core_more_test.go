@@ -225,7 +225,7 @@ func TestFetchQueueBounded(t *testing.T) {
 	p.SetProgram(0, chainProgram(1000), 1)
 	for i := 0; i < 2000 && p.Busy(); i++ {
 		p.Cycle()
-		if n := len(p.threads[0].fq); n > p.cfg.FetchQCap {
+		if n := int(p.threads[0].fqCount); n > p.cfg.FetchQCap {
 			t.Fatalf("fetch queue grew to %d, cap %d", n, p.cfg.FetchQCap)
 		}
 	}

@@ -62,6 +62,16 @@ func TestConfigValidateErrors(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Error("tiny window must fail validation")
 	}
+	bad = base
+	bad.IQSize = maxQueueCap + 1
+	if bad.Validate() == nil {
+		t.Error("an issue queue too large to number its slots must fail validation")
+	}
+	bad = base
+	bad.PhysFP = maxPhysRegs
+	if bad.Validate() == nil {
+		t.Error("more physical registers than a uop can name must fail validation")
+	}
 }
 
 func TestPredictorLearnsBias(t *testing.T) {
@@ -106,10 +116,10 @@ func TestPredictorBoundsProperty(t *testing.T) {
 }
 
 func TestPhysFileAllocRelease(t *testing.T) {
-	f := newPhysFile(4)
-	seen := map[int32]bool{}
+	f := newRegFiles(&Config{PhysInt: 4})
+	seen := map[int16]bool{}
 	for i := 0; i < 4; i++ {
-		r, ok := f.alloc()
+		r, ok := f.alloc(isa.RFInt)
 		if !ok {
 			t.Fatalf("alloc %d failed", i)
 		}
@@ -118,11 +128,11 @@ func TestPhysFileAllocRelease(t *testing.T) {
 		}
 		seen[r] = true
 	}
-	if _, ok := f.alloc(); ok {
+	if _, ok := f.alloc(isa.RFInt); ok {
 		t.Fatal("alloc from empty pool must fail")
 	}
 	f.release(2)
-	r, ok := f.alloc()
+	r, ok := f.alloc(isa.RFInt)
 	if !ok || r != 2 {
 		t.Fatalf("re-alloc got (%d, %v), want (2, true)", r, ok)
 	}

@@ -17,6 +17,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 
 	"mediasmt/internal/isa"
 )
@@ -42,23 +43,23 @@ func (p *Processor) AdvanceTo(t int64) {
 	// commits, issues or frees a register, so each thread's stall class
 	// is frozen: charge it once per skipped cycle, mirroring
 	// dispatchOne's check order exactly.
-	for _, th := range p.threads {
+	for i := range p.threads {
+		th := &p.threads[i]
 		if th.fqCount == 0 {
 			continue
 		}
-		if th.robFull() {
+		if th.robCount == p.robSize {
 			p.st.ROBStalls += skipped
 			continue
 		}
-		e := th.fqFront()
-		q, qCap, _ := p.dispatchQueue(e.in.Op.Info())
-		if len(*q) >= qCap {
+		in := &p.fq[th.fqBase+th.fqHead]
+		if p.queueFull(in.Op) {
 			p.st.QueueStalls += skipped
 			continue
 		}
 		// A free destination register would mean dispatch could
 		// progress, and NextWakeup never skips such a cycle.
-		if d := e.in.Dst; d != isa.RegNone && len(p.rf.file(d.File()).free) == 0 {
+		if d := in.Dst; d != isa.RegNone && len(p.rf.free[d.File()]) == 0 {
 			p.st.RenameStalls += skipped
 		}
 	}
@@ -96,27 +97,24 @@ func (p *Processor) NextWakeup() int64 {
 	// Commit: a completed graduation-window head retries every cycle
 	// (a store head may spend several cycles draining its elements
 	// into the write buffer, mutating memory stats on each retry).
-	for _, th := range p.threads {
-		if u := th.robPeek(); u != nil && u.completed {
-			return now
-		}
+	if p.headDone != 0 {
+		return now
 	}
 
-	// Writeback wakes when the earliest scheduled operation completes.
-	for _, u := range p.inflight {
-		if u.doneAt <= now {
-			return now
-		}
-		min(u.doneAt)
+	// Writeback wakes at the earliest non-empty wheel bucket.
+	if w := p.nextWriteback(); w <= now {
+		return now
+	} else {
+		min(w)
 	}
 
 	// Loads still streaming element accesses retry every cycle once
 	// their address is ready (ports re-arbitrate per cycle).
-	for _, u := range p.activeLoads {
-		if u.addrReadyAt <= now {
+	for _, ld := range p.activeLoads {
+		if ld.addrReadyAt <= now {
 			return now
 		}
-		min(u.addrReadyAt)
+		min(ld.addrReadyAt)
 	}
 
 	// Issue: a ready queue entry retries every cycle, except when every
@@ -131,9 +129,10 @@ func (p *Processor) NextWakeup() int64 {
 	// blocked cases (mispredict, I-miss, full fetch queue) wake through
 	// the event that unblocks them: branch completion, I-cache fill,
 	// dispatch progress.
-	for _, th := range p.threads {
+	for i := range p.threads {
+		th := &p.threads[i]
 		if th.idle || !th.hasPend || th.fetchBlocked ||
-			th.fqCount >= p.cfg.FetchQCap || !p.memsys.FetchReady(th.id) {
+			th.fqCount >= p.fqCap || !p.memsys.FetchReady(int(th.id)) {
 			continue
 		}
 		if th.stallUntil <= now {
@@ -158,28 +157,27 @@ func (p *Processor) NextWakeup() int64 {
 // unpipelined unit is busy, NoWakeup when no queued operation has its
 // sources ready (those wake through their producers' completions).
 func (p *Processor) nextIssueWakeup(now int64) int64 {
-	if p.readyCount[qidInt] > 0 || p.readyCount[qidMem] > 0 {
+	if p.queues[qidInt].nready > 0 || p.queues[qidMem].nready > 0 {
 		return now
 	}
 	t := NoWakeup
-	if p.readyCount[qidFP] > 0 {
-		for _, u := range p.qFP {
-			if !p.ready(u) {
-				continue
-			}
-			if u.info.Unit != isa.UnitFPDiv {
-				return now
-			}
-			w := earliestFree(p.fpDivBusyUntil, now)
-			if w <= now {
-				return now
-			}
-			if w < t {
-				t = w
+	if q := &p.queues[qidFP]; q.nready > 0 {
+		// A ready divide waits for a free divider; anything else only
+		// for issue width.
+		for w := 0; w<<6 < q.tail; w++ {
+			for m := q.ready[w]; m != 0; m &= m - 1 {
+				if p.uops[q.slots[w<<6|bits.TrailingZeros64(m)]].unit != isa.UnitFPDiv {
+					return now
+				}
 			}
 		}
+		w := earliestFree(p.fpDivBusyUntil, now)
+		if w <= now {
+			return now
+		}
+		t = w
 	}
-	if p.readyCount[qidSIMD] > 0 {
+	if p.queues[qidSIMD].nready > 0 {
 		w := earliestFree(p.mediaBusyUntil, now)
 		if w <= now {
 			return now
@@ -210,17 +208,16 @@ func earliestFree(busyUntil []int64, now int64) int64 {
 // instruction could rename and dispatch this cycle: graduation-window
 // room, issue-queue room, and a free destination register.
 func (p *Processor) canDispatchAny() bool {
-	for _, th := range p.threads {
-		if th.fqCount == 0 || th.robFull() {
+	for i := range p.threads {
+		th := &p.threads[i]
+		if th.fqCount == 0 || th.robCount == p.robSize {
 			continue
 		}
-		e := th.fqFront()
-		inf := e.in.Op.Info()
-		q, qCap, _ := p.dispatchQueue(inf)
-		if len(*q) >= qCap {
+		in := &p.fq[th.fqBase+th.fqHead]
+		if p.queueFull(in.Op) {
 			continue
 		}
-		if d := e.in.Dst; d != isa.RegNone && len(p.rf.file(d.File()).free) == 0 {
+		if d := in.Dst; d != isa.RegNone && len(p.rf.free[d.File()]) == 0 {
 			continue
 		}
 		return true

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"mediasmt/internal/isa"
 	"mediasmt/internal/mem"
 )
@@ -15,62 +17,85 @@ func (p *Processor) drainMemory(now int64) {
 }
 
 // onLoadCompletion is the Drain callback: it routes one finished load
-// element to its uop by slot index and completes the load when its last
-// element arrived.
+// element to its uop (the tag is the uop's index) and completes the
+// load when its last element arrived.
 func (p *Processor) onLoadCompletion(c mem.Completion) {
-	u := p.loadSlots[c.Tag]
-	if u == nil {
-		return
-	}
+	u := &p.uops[c.Tag]
 	u.elemsDone++
-	if u.elemsDone == u.elemsTotal {
-		p.loadSlots[c.Tag] = nil
-		p.freeSlots = append(p.freeSlots, u.memTag)
-		u.memTag = -1
-		p.complete(u, p.drainNow)
+	if u.elemsDone == u.equiv {
+		p.complete(int32(c.Tag), u, p.drainNow)
 	}
 }
 
-// writeback completes scheduled operations whose results are ready.
-func (p *Processor) writeback(now int64) {
-	// Find the first completion before rewriting anything: on most
-	// cycles nothing completes, and the no-op rewrite of a pointer
-	// slice is all GC write-barrier traffic.
-	i := 0
-	for ; i < len(p.inflight); i++ {
-		if p.inflight[i].doneAt <= now {
-			break
-		}
+// schedule files an issued operation on the writeback wheel under its
+// completion cycle. An operation due before the next cycle to be
+// written back completes at that cycle, as it would under a scan of
+// every in-flight operation.
+func (p *Processor) schedule(idx int32, now, doneAt int64) {
+	if p.inflight == 0 {
+		p.wbNext = now + 1
 	}
-	if i == len(p.inflight) {
+	doneAt = max(doneAt, p.wbNext)
+	if doneAt-p.wbNext >= wheelSize {
+		panic("core: operation latency exceeds the writeback wheel")
+	}
+	b := doneAt % wheelSize
+	p.wheelNext[idx] = -1
+	if t := p.wheelTail[b]; t < 0 {
+		p.wheelHead[b] = idx
+		p.wheelBits |= 1 << b
+	} else {
+		p.wheelNext[t] = idx
+	}
+	p.wheelTail[b] = idx
+	p.inflight++
+}
+
+// writeback completes scheduled operations whose results are ready:
+// the wheel buckets of every cycle up to now, each in issue order.
+func (p *Processor) writeback(now int64) {
+	if p.inflight == 0 {
+		p.wbNext = now + 1
 		return
 	}
-	w := i
-	for ; i < len(p.inflight); i++ {
-		u := p.inflight[i]
-		if u.doneAt <= now {
-			p.complete(u, now)
-		} else {
-			p.inflight[w] = u
-			w++
+	for ; p.wbNext <= now; p.wbNext++ {
+		b := p.wbNext % wheelSize
+		for idx := p.wheelHead[b]; idx >= 0; idx = p.wheelNext[idx] {
+			p.complete(idx, &p.uops[idx], now)
+			p.inflight--
 		}
+		p.wheelHead[b], p.wheelTail[b] = -1, -1
+		p.wheelBits &^= 1 << b
 	}
-	p.inflight = p.inflight[:w]
+}
+
+// nextWriteback returns the earliest cycle with a scheduled completion,
+// or NoWakeup when nothing is in flight.
+func (p *Processor) nextWriteback() int64 {
+	if p.inflight == 0 {
+		return NoWakeup
+	}
+	// Bit k of the rotated mask is the bucket of cycle wbNext+k.
+	m := bits.RotateLeft64(p.wheelBits, -int(p.wbNext%wheelSize))
+	return p.wbNext + int64(bits.TrailingZeros64(m))
 }
 
 // complete retires an operation from the execution core: its result
 // becomes visible, dependents wake, and a mispredicted branch restarts
 // its thread's fetch after the redirect penalty.
-func (p *Processor) complete(u *uop, now int64) {
+func (p *Processor) complete(idx int32, u *uop, now int64) {
 	u.completed = true
-	if u.dstPhys >= 0 {
-		p.wakeReg(u.dstFile, u.dstPhys)
+	th := &p.threads[u.thread]
+	if idx == th.robBase+th.robHead {
+		p.headDone |= 1 << u.thread
 	}
-	if u.info.Unit == isa.UnitMedia {
+	if u.dstPhys >= 0 {
+		p.wakeReg(u.dstPhys)
+	}
+	if u.unit == isa.UnitMedia {
 		p.simdInFlight--
 	}
 	if u.mispred {
-		th := p.threads[u.thread]
 		th.fetchBlocked = false
 		th.stallUntil = now + int64(p.cfg.BranchPenalty)
 	}
@@ -79,148 +104,120 @@ func (p *Processor) complete(u *uop, now int64) {
 // wakeReg marks a physical register's value available and wakes the
 // queue entries parked on it (scoreboard wakeup registered at
 // dispatch).
-func (p *Processor) wakeReg(f isa.RegFile, r int32) {
-	pf := p.rf.file(f)
-	pf.ready[r] = true
-	ws := pf.waiters[r]
-	if len(ws) == 0 {
-		return
-	}
-	for i, u := range ws {
+func (p *Processor) wakeReg(r int16) {
+	rf := p.rf
+	rf.ready[r] = true
+	for l := rf.waitHead[r]; l >= 0; {
+		u := &p.uops[l>>2]
+		l = p.waitNext[l>>2][l&3]
 		u.waitCount--
 		if u.waitCount == 0 {
-			p.readyCount[u.qid]++
+			p.queues[u.qid].setReady(int(u.qpos))
 		}
-		ws[i] = nil
 	}
-	pf.waiters[r] = ws[:0]
+	rf.waitHead[r] = -1
 }
 
-// ready reports whether all of a uop's source registers are available.
-func (p *Processor) ready(u *uop) bool {
-	return u.waitCount == 0
-}
-
-// issue scans the four queues oldest-first and starts every ready
-// operation the functional units can accept this cycle. A queue with
-// no ready entry (by its scoreboard counter) is skipped outright.
+// issue starts, queue by queue and oldest first, every ready operation
+// the functional units can accept this cycle. Each queue's scan visits
+// only its ready entries, and a queue with none is skipped outright.
 func (p *Processor) issue(now int64) {
-	if p.readyCount[qidInt] > 0 {
+	if p.queues[qidInt].nready > 0 {
 		p.issueInt(now)
 	}
-	if p.readyCount[qidFP] > 0 {
+	if p.queues[qidFP].nready > 0 {
 		p.issueFP(now)
 	}
-	if p.readyCount[qidSIMD] > 0 {
+	if p.queues[qidSIMD].nready > 0 {
 		p.issueSIMD(now)
 	}
-	if p.readyCount[qidMem] > 0 {
+	if p.queues[qidMem].nready > 0 {
 		p.issueMem(now)
 	}
 }
 
-func (p *Processor) noteIssued(u *uop) {
-	th := p.threads[u.thread]
+// noteIssued takes an issuing uop out of its queue slot pos.
+func (p *Processor) noteIssued(pos int, u *uop) {
+	th := &p.threads[u.thread]
 	th.frontCount--
-	th.opCount -= int(u.equiv())
-	u.issued = true
-	p.readyCount[u.qid]--
-}
-
-// compactQueue removes issued entries from q. first is the index of
-// the oldest issued entry (-1 if none issued): the issue loop already
-// knows it, and starting there skips rescanning the unissued prefix —
-// rewriting unchanged pointers would also cost a GC write barrier each.
-func compactQueue(q []*uop, first int) []*uop {
-	if first < 0 {
-		return q
-	}
-	w := first
-	for i := first; i < len(q); i++ {
-		if !q[i].issued {
-			q[w] = q[i]
-			w++
-		}
-	}
-	return q[:w]
+	th.opCount -= int32(u.equiv)
+	p.queues[u.qid].remove(pos)
+	u.qpos = notQueued
 }
 
 func (p *Processor) issueInt(now int64) {
-	alus, muls, issued, first := 0, 0, 0, -1
-	for qi, u := range p.qInt {
-		if issued >= p.cfg.IssueInt {
-			break
-		}
-		if !p.ready(u) {
-			continue
-		}
-		switch u.info.Unit {
-		case isa.UnitIMul:
-			if muls >= p.cfg.IntMuls {
-				continue
+	q := &p.queues[qidInt]
+	alus, muls, issued := 0, 0, 0
+scan:
+	for w := 0; w<<6 < q.tail; w++ {
+		for m := q.ready[w]; m != 0; m &= m - 1 {
+			if issued >= p.cfg.IssueInt {
+				break scan
 			}
-			muls++
-		default:
-			if alus >= p.cfg.IntALUs {
-				continue
+			pos := w<<6 | bits.TrailingZeros64(m)
+			idx := q.slots[pos]
+			u := &p.uops[idx]
+			if u.unit == isa.UnitIMul {
+				if muls >= p.cfg.IntMuls {
+					continue
+				}
+				muls++
+			} else {
+				if alus >= p.cfg.IntALUs {
+					continue
+				}
+				alus++
 			}
-			alus++
-		}
-		p.noteIssued(u)
-		u.doneAt = now + int64(u.info.Lat)
-		p.inflight = append(p.inflight, u)
-		issued++
-		p.intIssuedNow++
-		if first < 0 {
-			first = qi
+			p.noteIssued(pos, u)
+			p.schedule(idx, now, now+int64(u.lat))
+			issued++
+			p.intIssuedNow++
 		}
 	}
-	p.qInt = compactQueue(p.qInt, first)
 }
 
 func (p *Processor) issueFP(now int64) {
-	adds, mulsUsed, issued, first := 0, 0, 0, -1
-	for qi, u := range p.qFP {
-		if issued >= p.cfg.IssueFP {
-			break
-		}
-		if !p.ready(u) {
-			continue
-		}
-		switch u.info.Unit {
-		case isa.UnitFPDiv:
-			// Unpipelined divide/sqrt: find a free unit.
-			unit := -1
-			for i, b := range p.fpDivBusyUntil {
-				if b <= now {
-					unit = i
-					break
+	q := &p.queues[qidFP]
+	adds, mulsUsed, issued := 0, 0, 0
+scan:
+	for w := 0; w<<6 < q.tail; w++ {
+		for m := q.ready[w]; m != 0; m &= m - 1 {
+			if issued >= p.cfg.IssueFP {
+				break scan
+			}
+			pos := w<<6 | bits.TrailingZeros64(m)
+			idx := q.slots[pos]
+			u := &p.uops[idx]
+			switch u.unit {
+			case isa.UnitFPDiv:
+				// Unpipelined divide/sqrt: find a free unit.
+				unit := -1
+				for k, b := range p.fpDivBusyUntil {
+					if b <= now {
+						unit = k
+						break
+					}
 				}
+				if unit < 0 {
+					continue
+				}
+				p.fpDivBusyUntil[unit] = now + int64(u.busy)
+			case isa.UnitFPMul:
+				if mulsUsed >= p.cfg.FPMuls {
+					continue
+				}
+				mulsUsed++
+			default:
+				if adds >= p.cfg.FPAdds {
+					continue
+				}
+				adds++
 			}
-			if unit < 0 {
-				continue
-			}
-			p.fpDivBusyUntil[unit] = now + int64(u.info.II)
-		case isa.UnitFPMul:
-			if mulsUsed >= p.cfg.FPMuls {
-				continue
-			}
-			mulsUsed++
-		default:
-			if adds >= p.cfg.FPAdds {
-				continue
-			}
-			adds++
-		}
-		p.noteIssued(u)
-		u.doneAt = now + int64(u.info.Lat)
-		p.inflight = append(p.inflight, u)
-		issued++
-		if first < 0 {
-			first = qi
+			p.noteIssued(pos, u)
+			p.schedule(idx, now, now+int64(u.lat))
+			issued++
 		}
 	}
-	p.qFP = compactQueue(p.qFP, first)
 }
 
 // issueSIMD starts media operations. With the MMX configuration two
@@ -228,43 +225,38 @@ func (p *Processor) issueFP(now int64) {
 // cycle. With the MOM configuration a single media unit with
 // MediaPipes parallel vector pipes accepts one stream instruction,
 // which occupies the unit for ceil(SLen/pipes) cycles and delivers its
-// last sub-operation result after that occupancy plus the op latency.
+// last sub-operation result after that occupancy plus the op latency
+// (both resolved at dispatch into busy and lat).
 func (p *Processor) issueSIMD(now int64) {
-	issued, first := 0, -1
-	for qi, u := range p.qSIMD {
-		if issued >= p.cfg.IssueSIMD {
-			break
-		}
-		if !p.ready(u) {
-			continue
-		}
-		unit := -1
-		for i, b := range p.mediaBusyUntil {
-			if b <= now {
-				unit = i
-				break
+	q := &p.queues[qidSIMD]
+	issued := 0
+scan:
+	for w := 0; w<<6 < q.tail; w++ {
+		for m := q.ready[w]; m != 0; m &= m - 1 {
+			if issued >= p.cfg.IssueSIMD {
+				break scan
 			}
-		}
-		if unit < 0 {
-			break
-		}
-		occ := int64(1)
-		if u.info.Stream && u.in.SLen > 1 {
-			pipes := int64(p.cfg.MediaPipes)
-			occ = (int64(u.in.SLen) + pipes - 1) / pipes
-		}
-		p.mediaBusyUntil[unit] = now + occ
-		p.noteIssued(u)
-		u.doneAt = now + int64(u.info.Lat) + occ - 1
-		p.inflight = append(p.inflight, u)
-		p.simdInFlight++
-		issued++
-		p.simdIssuedNow++
-		if first < 0 {
-			first = qi
+			unit := -1
+			for k, b := range p.mediaBusyUntil {
+				if b <= now {
+					unit = k
+					break
+				}
+			}
+			if unit < 0 {
+				break scan
+			}
+			pos := w<<6 | bits.TrailingZeros64(m)
+			idx := q.slots[pos]
+			u := &p.uops[idx]
+			p.mediaBusyUntil[unit] = now + int64(u.busy)
+			p.noteIssued(pos, u)
+			p.schedule(idx, now, now+int64(u.lat))
+			p.simdInFlight++
+			issued++
+			p.simdIssuedNow++
 		}
 	}
-	p.qSIMD = compactQueue(p.qSIMD, first)
 }
 
 // issueMem starts memory operations: one cycle of address generation,
@@ -273,89 +265,75 @@ func (p *Processor) issueSIMD(now int64) {
 // commit). A load whose line matches an older in-flight store of the
 // same thread forwards from the store queue.
 func (p *Processor) issueMem(now int64) {
-	issued, first := 0, -1
-	for qi, u := range p.qMem {
-		if issued >= p.cfg.IssueMem {
-			break
-		}
-		if !p.ready(u) {
-			continue
-		}
-		p.noteIssued(u)
-		issued++
-		if first < 0 {
-			first = qi
-		}
-		u.addrReadyAt = now + 1
-		if u.isStore {
-			u.doneAt = now + 1
-			p.inflight = append(p.inflight, u)
-			continue
-		}
-		// Load: try store-to-load forwarding (scalar loads only; vector
-		// element granularity makes forwarding impractical in hardware
-		// of this era, so streams always go to memory).
-		if !u.isVector {
-			if st := p.forwardingStore(u); st != nil {
-				u.forwarded = true
-				p.st.LoadsForwarded++
-				d := st.addrReadyAt + 1
-				if d < now+2 {
-					d = now + 2
-				}
-				u.doneAt = d
-				p.inflight = append(p.inflight, u)
+	q := &p.queues[qidMem]
+	issued := 0
+scan:
+	for w := 0; w<<6 < q.tail; w++ {
+		for m := q.ready[w]; m != 0; m &= m - 1 {
+			if issued >= p.cfg.IssueMem {
+				break scan
+			}
+			pos := w<<6 | bits.TrailingZeros64(m)
+			idx := q.slots[pos]
+			u := &p.uops[idx]
+			p.noteIssued(pos, u)
+			issued++
+			if u.isStore {
+				p.schedule(idx, now, now+1)
 				continue
 			}
+			// Load: try store-to-load forwarding (scalar loads only;
+			// vector element granularity makes forwarding impractical
+			// in hardware of this era, so streams always go to memory).
+			// The forwarding store issued by now, so its address was
+			// ready by now+1 and the data arrives at now+2.
+			if !u.isVector && p.canForward(idx, u) {
+				p.st.LoadsForwarded++
+				p.schedule(idx, now, now+2)
+				continue
+			}
+			p.activeLoads = append(p.activeLoads, activeLoad{idx: idx, addrReadyAt: now + 1})
 		}
-		// Allocate the load's memory tag: a slot index the memory system
-		// echoes back on each element completion.
-		var slot int32
-		if n := len(p.freeSlots); n > 0 {
-			slot = p.freeSlots[n-1]
-			p.freeSlots = p.freeSlots[:n-1]
-		} else {
-			slot = int32(len(p.loadSlots))
-			p.loadSlots = append(p.loadSlots, nil)
-		}
-		u.memTag = slot
-		p.loadSlots[slot] = u
-		p.activeLoads = append(p.activeLoads, u)
 	}
-	p.qMem = compactQueue(p.qMem, first)
 }
 
-// forwardingStore returns the youngest older issued store of the same
-// thread whose line matches the load, if any.
-func (p *Processor) forwardingStore(ld *uop) *uop {
+// canForward reports whether an older issued store of the load's
+// thread writes the load's line.
+func (p *Processor) canForward(idx int32, ld *uop) bool {
 	const lineMask = ^uint64(31)
-	th := p.threads[ld.thread]
-	var best *uop
-	for _, st := range th.pendingStores {
-		if st.seq >= ld.seq || !st.issued {
-			continue
+	th := &p.threads[ld.thread]
+	age := p.robAge(th, idx)
+	// pendingStores is in program order: stop at the first younger one.
+	for _, si := range th.pendingStores {
+		if p.robAge(th, si) > age {
+			break
 		}
-		if st.in.Addr&lineMask == ld.in.Addr&lineMask {
-			if best == nil || st.seq > best.seq {
-				best = st
-			}
+		if st := &p.uops[si]; st.qpos == notQueued && st.addr&lineMask == ld.addr&lineMask {
+			return true
 		}
 	}
-	return best
+	return false
+}
+
+// activeLoad is an issued load still sending element accesses, with
+// the cycle its address is generated.
+type activeLoad struct {
+	idx         int32
+	addrReadyAt int64
 }
 
 // sendLoadElements pushes pending load element accesses into the
 // memory system, oldest load first, as long as ports accept them.
 func (p *Processor) sendLoadElements(now int64) {
 	finished := false
-	for _, u := range p.activeLoads {
-		if now >= u.addrReadyAt {
-			for u.elemsSent < u.elemsTotal {
-				addr := u.in.Addr + uint64(u.elemsSent)*uint64(u.in.Stride)
+	for _, ld := range p.activeLoads {
+		u := &p.uops[ld.idx]
+		if now >= ld.addrReadyAt {
+			for u.elemsSent < u.equiv {
 				ok := p.memsys.Access(now, mem.Request{
-					Tag:    uint64(u.memTag),
-					Addr:   addr,
-					Thread: uint8(u.thread),
+					Tag:    uint64(ld.idx),
+					Addr:   u.addr + uint64(u.elemsSent)*uint64(u.stride),
+					Thread: u.thread,
 					Vector: u.isVector,
 				})
 				if !ok {
@@ -365,7 +343,7 @@ func (p *Processor) sendLoadElements(now int64) {
 				p.st.LoadElemSent++
 			}
 		}
-		if u.elemsSent >= u.elemsTotal {
+		if u.elemsSent >= u.equiv {
 			finished = true
 		}
 	}
@@ -373,9 +351,9 @@ func (p *Processor) sendLoadElements(now int64) {
 		return
 	}
 	w := 0
-	for _, u := range p.activeLoads {
-		if u.elemsSent < u.elemsTotal {
-			p.activeLoads[w] = u
+	for _, ld := range p.activeLoads {
+		if u := &p.uops[ld.idx]; u.elemsSent < u.equiv {
+			p.activeLoads[w] = ld
 			w++
 		}
 	}
@@ -388,50 +366,48 @@ func (p *Processor) sendLoadElements(now int64) {
 // retirement); a store blocks its thread's commit until all elements
 // are accepted.
 func (p *Processor) commit(now int64) {
-	// Cheap pre-scan: most cycles no head is completed, and the
-	// budgeted round-robin loop below costs several times this.
-	anyDone := false
-	for _, th := range p.threads {
-		if u := th.robPeek(); u != nil && u.completed {
-			anyDone = true
-			break
-		}
-	}
-	if !anyDone {
-		return
-	}
 	budget := p.cfg.CommitWidth
-	n := p.cfg.Threads
-	for round := 0; budget > 0; round++ {
+	var cand [MaxHWContexts]uint8
+	nc := p.rotation(&cand, p.headDone)
+	// Each round visits, in rotation order, the threads whose head is
+	// completed: a thread leaves once its new head is not (nothing
+	// completes during commit). A store that cannot drain stays and is
+	// retried next round, as long as the round made progress.
+	for budget > 0 && nc > 0 {
 		progress := false
-		for i := 0; i < n && budget > 0; i++ {
-			th := p.threads[(p.rr+i)%n]
-			u := th.robPeek()
-			if u == nil || !u.completed {
-				continue
-			}
-			if u.isStore && !p.drainStore(now, u) {
+		w := 0
+		for k := 0; k < nc && budget > 0; k++ {
+			th := &p.threads[cand[k]]
+			head := th.robBase + th.robHead
+			u := &p.uops[head]
+			if u.isStore && !p.drainStore(now, head, u) {
+				cand[w] = cand[k]
+				w++
 				continue
 			}
 			p.retire(th, u)
 			budget--
 			progress = true
+			if p.headDone&(1<<th.id) != 0 {
+				cand[w] = cand[k]
+				w++
+			}
 		}
 		if !progress {
 			break
 		}
+		nc = w
 	}
 }
 
-// drainStore sends a committing store's element accesses; it reports
-// whether the store fully drained.
-func (p *Processor) drainStore(now int64, u *uop) bool {
-	for u.elemsSent < u.elemsTotal {
-		addr := u.in.Addr + uint64(u.elemsSent)*uint64(u.in.Stride)
+// drainStore sends a committing store's element accesses, tagged with
+// its uop index; it reports whether the store fully drained.
+func (p *Processor) drainStore(now int64, idx int32, u *uop) bool {
+	for u.elemsSent < u.equiv {
 		ok := p.memsys.Access(now, mem.Request{
-			Tag:    u.seq,
-			Addr:   addr,
-			Thread: uint8(u.thread),
+			Tag:    uint64(idx),
+			Addr:   u.addr + uint64(u.elemsSent)*uint64(u.stride),
+			Thread: u.thread,
 			Store:  true,
 			Vector: u.isVector,
 		})
@@ -444,30 +420,35 @@ func (p *Processor) drainStore(now int64, u *uop) bool {
 	return true
 }
 
-// retire removes the instruction from the graduation window, frees the
-// previous mapping of its destination and accumulates statistics.
+// retire removes the head instruction u from the graduation window,
+// frees the previous mapping of its destination and accumulates
+// statistics. The slot is reused by the next dispatch into it.
 func (p *Processor) retire(th *threadState, u *uop) {
-	th.robPop()
+	if th.robHead++; th.robHead == p.robSize {
+		th.robHead = 0
+	}
+	th.robCount--
+	if th.robCount > 0 && p.uops[th.robBase+th.robHead].completed {
+		p.headDone |= 1 << th.id
+	} else {
+		p.headDone &^= 1 << th.id
+	}
 	if u.oldDst >= 0 {
-		p.rf.file(u.dstFile).release(u.oldDst)
+		p.rf.release(u.oldDst)
 	}
 	if u.isStore {
-		for i, st := range th.pendingStores {
-			if st == u {
-				th.pendingStores = append(th.pendingStores[:i], th.pendingStores[i+1:]...)
-				break
-			}
-		}
+		// Stores retire in program order: this is the oldest pending one.
+		ps := th.pendingStores
+		th.pendingStores = ps[:copy(ps, ps[1:])]
 	}
-	eq := int64(u.equiv())
+	eq := int64(u.equiv)
 	p.st.Committed++
 	p.st.CommittedEquiv += eq
 	p.st.Weighted += th.factor
-	p.st.CommittedByClass[u.info.Class]++
-	p.st.CommittedEqByCls[u.info.Class] += eq
+	p.st.CommittedByClass[u.class]++
+	p.st.CommittedEqByCls[u.class] += eq
 	p.st.PerThreadCommitted[th.id]++
 	if th.robCount == 0 && th.progEnd && !th.hasPend && th.fqCount == 0 {
 		p.drainSignal = true
 	}
-	p.uopPool = append(p.uopPool, u)
 }

@@ -67,18 +67,21 @@ func (p *Processor) sampleHooks() {
 	p.hookCountdown = max(p.hooks.Every, 1)
 	s := PipelineSample{
 		Cycle:        p.now,
-		QueueOcc:     [4]int{len(p.qInt), len(p.qMem), len(p.qFP), len(p.qSIMD)},
-		QueueReady:   p.readyCount,
-		Inflight:     len(p.inflight),
+		Inflight:     p.inflight,
 		ActiveLoads:  len(p.activeLoads),
 		Committed:    p.st.Committed,
 		ROBStalls:    p.st.ROBStalls,
 		RenameStalls: p.st.RenameStalls,
 		QueueStalls:  p.st.QueueStalls,
 	}
-	for _, th := range p.threads {
-		s.ROBOcc += th.robCount
-		s.FetchQOcc += th.fqCount
+	for qid := range p.queues {
+		s.QueueOcc[qid] = p.queues[qid].count
+		s.QueueReady[qid] = p.queues[qid].nready
+	}
+	for i := range p.threads {
+		th := &p.threads[i]
+		s.ROBOcc += int(th.robCount)
+		s.FetchQOcc += int(th.fqCount)
 	}
 	p.hooks.Sample(s)
 }

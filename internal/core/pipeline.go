@@ -2,143 +2,174 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mediasmt/internal/isa"
 	"mediasmt/internal/mem"
 	"mediasmt/internal/trace"
 )
 
-// uop is one in-flight instruction.
+// uop is one in-flight instruction. uops live in their thread's
+// graduation window, a ring in Processor.uops: dispatch fills the tail
+// slot in place and retirement frees the head, so a uop's lifetime is
+// its window residency and its index in Processor.uops is a stable
+// handle for the issue queues, the writeback wheel, register waiter
+// lists, the active-load and store lists and the memory system's
+// request tags.
+//
+// Everything issue, writeback, commit and the memory stages read is
+// resolved at dispatch (unit, latency, occupancy, class, element
+// count), so no later stage touches the trace.Inst or the opcode
+// table, and a uop fits a cache line (see TestUopFitsCacheLine).
 type uop struct {
-	in     trace.Inst
-	info   *isa.OpInfo
-	thread int32
-	seq    uint64
+	addr    uint64 // first element address (memory operations)
+	stride  int32  // byte distance between stream elements
+	dstPhys int16  // renamed destination, -1 if none
+	oldDst  int16  // previous mapping of the destination, -1 if none
 
-	dstFile isa.RegFile
-	dstPhys int32
-	oldDst  int32
-	srcFile [3]isa.RegFile
-	srcPhys [3]int32
-	nsrc    int
+	// qpos is the uop's slot in its issue queue until it issues, then
+	// notQueued.
+	qpos uint16
+
+	thread uint8
+	unit   isa.Unit
+	class  isa.Class
+	qid    uint8 // issue queue, indexing Processor.queues
+	// lat is the issue-to-result latency, including a stream's media
+	// unit occupancy; busy is how long the op holds an unpipelined unit
+	// (the FP divider's II, a stream's media unit occupancy).
+	lat  uint8
+	busy uint8
+	// equiv is the stream-expanded instruction count (the element count
+	// of a memory operation).
+	equiv uint8
+	// waitCount is the number of source registers still outstanding
+	// (scoreboard wakeup: the uop is ready to issue when it reaches 0).
+	waitCount uint8
+	elemsSent uint8
+	elemsDone uint8
 
 	mispred   bool
-	issued    bool
 	completed bool
-	doneAt    int64
-
-	// Scoreboard wakeup: waitCount is the number of source registers
-	// still outstanding (the uop is ready to issue when it reaches 0);
-	// qid names the issue queue holding the uop, for the per-queue
-	// ready counters.
-	waitCount int32
-	qid       uint8
-
-	// Memory state.
-	isLoad      bool
-	isStore     bool
-	isVector    bool
-	elemsTotal  int32
-	elemsSent   int32
-	elemsDone   int32
-	addrReadyAt int64
-	forwarded   bool
-
-	// memTag is the load's slot in Processor.loadSlots while its element
-	// accesses are outstanding in the memory system; -1 otherwise. The
-	// memory system echoes it back on each Completion, making completion
-	// routing an array index instead of a map lookup.
-	memTag int32
+	isStore   bool
+	isVector  bool
 }
 
-func (u *uop) equiv() int32 {
-	if u.info.Stream && u.in.SLen > 1 {
-		return int32(u.in.SLen)
+// wheelSize is the writeback wheel's span in cycles; Validate keeps
+// every issue-to-result latency below it.
+const wheelSize = 64
+
+// maxIssueLatency bounds the cycles from issue to writeback of any
+// operation: the longest opcode latency plus the longest media unit
+// occupancy of a stream, or the two cycles of a forwarded load.
+func maxIssueLatency(cfg *Config) int {
+	lat := 2
+	for i := range opDescs {
+		lat = max(lat, int(opDescs[i].lat))
 	}
-	return 1
+	occ := isa.MaxStreamLen
+	if cfg.MediaPipes > 0 {
+		occ = (isa.MaxStreamLen + cfg.MediaPipes - 1) / cfg.MediaPipes
+	}
+	return lat + occ
 }
 
-type fqEntry struct {
-	in      trace.Inst
-	mispred bool
-}
-
-// threadState is one hardware context.
+// threadState is one hardware context. Processor.threads holds them by
+// value, with the fields the stages touch every cycle first, in 56
+// bytes; the context's graduation window, fetch queue and rename map
+// live in Processor-wide arrays at the context's offsets.
 type threadState struct {
-	id      int
-	prog    trace.Program
-	factor  float64
-	pending trace.Inst
-	hasPend bool
-	progEnd bool
-	idle    bool
+	// The graduation window is a ring of Processor.robSize uops at
+	// Processor.uops[robBase:], the oldest at offset robHead.
+	robBase  int32
+	robHead  int32
+	robCount int32
 
-	// fq is the fetch queue, a fixed-capacity ring (popping the head
-	// must not shift the body: dispatch pops up to DecodeWidth entries
-	// per cycle).
-	fq           []fqEntry
-	fqHead       int
-	fqCount      int
+	// The fetch queue is a ring of Processor.fqSize instructions at
+	// Processor.fq[fqBase:], the oldest at offset fqHead, with each
+	// entry's misprediction flag at the same index of
+	// Processor.fqMispred. It has one slot more than FetchQCap: the slot
+	// after the last queued entry is the lookahead. Program.Next writes
+	// the next instruction straight into it, and fetching it is just
+	// counting it in, so every instruction is written once.
+	fqBase  int32
+	fqHead  int32
+	fqCount int32
+
+	frontCount int32 // ICOUNT: fetched but not yet issued
+	opCount    int32 // OCOUNT: same, weighted by stream length
+
+	stallUntil int64
+
+	hasPend      bool // the lookahead slot holds the program's next instruction
+	progEnd      bool
+	idle         bool
 	fetchBlocked bool
-	stallUntil   int64
+	fetchedVec   bool
+	id           uint8
 
-	rmap [6][]int32
+	factor float64
 
-	rob      []*uop
-	robHead  int
-	robCount int
+	// pendingStores holds the thread's dispatched, unretired stores in
+	// program order (Processor.uops indices).
+	pendingStores []int32
 
-	frontCount int // ICOUNT: fetched but not yet issued
-	opCount    int // OCOUNT: same, weighted by stream length
-	fetchedVec bool
-
-	pendingStores []*uop
+	prog trace.Program
 }
 
-func (t *threadState) robFull() bool { return t.robCount == len(t.rob) }
+// regSlot is a logical register's index in a context's rename map: no
+// file has more than 32 logical registers.
+func regSlot(r isa.Reg) int { return int(r.File())<<5 | r.Idx() }
 
-func (t *threadState) fqFront() *fqEntry { return &t.fq[t.fqHead] }
+// rmapSize is the length of one context's rename map.
+const rmapSize = (int(isa.RFAcc) + 1) << 5
 
-func (t *threadState) fqPush(e fqEntry) {
-	t.fq[(t.fqHead+t.fqCount)%len(t.fq)] = e
-	t.fqCount++
-}
-
-func (t *threadState) fqPop() {
-	t.fqHead = (t.fqHead + 1) % len(t.fq)
-	t.fqCount--
-}
-
-func (t *threadState) robPush(u *uop) {
-	t.rob[(t.robHead+t.robCount)%len(t.rob)] = u
-	t.robCount++
-}
-
-func (t *threadState) robPeek() *uop {
-	if t.robCount == 0 {
-		return nil
+// robIdx returns the Processor.uops index of the thread's k-th oldest
+// window slot.
+func (p *Processor) robIdx(th *threadState, k int32) int32 {
+	if k += th.robHead; k >= p.robSize {
+		k -= p.robSize
 	}
-	return t.rob[t.robHead]
+	return th.robBase + k
 }
 
-func (t *threadState) robPop() {
-	t.rob[t.robHead] = nil
-	t.robHead = (t.robHead + 1) % len(t.rob)
-	t.robCount--
+// robAge is a uop's position in its thread's graduation window, 0 for
+// the oldest.
+func (p *Processor) robAge(th *threadState, idx int32) int32 {
+	a := idx - th.robBase - th.robHead
+	if a < 0 {
+		a += p.robSize
+	}
+	return a
 }
 
-// advance pulls the next instruction of the program into the lookahead
-// slot.
-func (t *threadState) advance() {
-	if t.prog == nil || t.progEnd {
-		t.hasPend = false
+// fqIdx returns the Processor.fq index of the thread's k-th oldest
+// fetch-queue slot.
+func (p *Processor) fqIdx(th *threadState, k int32) int32 {
+	if k += th.fqHead; k >= p.fqSize {
+		k -= p.fqSize
+	}
+	return th.fqBase + k
+}
+
+// lookahead returns the fetch-queue slot holding the thread's next
+// unfetched instruction.
+func (p *Processor) lookahead(th *threadState) *trace.Inst {
+	return &p.fq[p.fqIdx(th, th.fqCount)]
+}
+
+// advance pulls the next instruction of the thread's program into the
+// lookahead slot.
+func (p *Processor) advance(th *threadState) {
+	if th.prog == nil || th.progEnd {
+		th.hasPend = false
 		return
 	}
-	if t.prog.Next(&t.pending) {
-		t.hasPend = true
+	if th.prog.Next(p.lookahead(th)) {
+		th.hasPend = true
 	} else {
-		t.hasPend = false
-		t.progEnd = true
+		th.hasPend = false
+		th.progEnd = true
 	}
 }
 
@@ -148,30 +179,52 @@ type Processor struct {
 	memsys  mem.System
 	pred    *Predictor
 	rf      *regFiles
-	threads []*threadState
+	threads []threadState
 
-	qInt  []*uop
-	qMem  []*uop
-	qFP   []*uop
-	qSIMD []*uop
+	// uops is the storage of every graduation window, thread t's at
+	// threads[t].robBase. Every in-flight structure below holds indices
+	// into it.
+	uops    []uop
+	robSize int32
 
-	// readyCount[qid] is the number of un-issued entries in that queue
-	// whose sources are all available. Issue scans (and the issue part
-	// of NextWakeup) skip a queue whose count is zero, which is most
-	// queues on most cycles.
-	readyCount [4]int
+	// fq and fqMispred are the storage of every fetch queue, thread t's
+	// at threads[t].fqBase; rmap holds every rename map, thread t's at
+	// t*rmapSize.
+	fq        []trace.Inst
+	fqMispred []bool
+	fqSize    int32
+	fqCap     int32
+	rmap      []int16
+	// waitNext[idx][i] continues the waiter list (see regFiles) of
+	// uop idx's source i register while the uop waits on it. A link
+	// names one source operand of a waiting uop, as its uops index
+	// times 4 plus the source number; -1 ends the list.
+	waitNext [][3]int32
 
-	inflight    []*uop
-	activeLoads []*uop
+	// queues are the issue queues, indexed by queue id (qidInt..qidSIMD).
+	queues [4]issueQueue
 
-	// loadSlots is the tag space for loads in the memory system: a load
-	// occupies one slot from issue until its last element completes, and
-	// the slot index is the Request tag. Tags are opaque identity to the
-	// memory system, so slot reuse is safe the moment a load completes
-	// (no completion can still be in flight for a freed slot: a load
-	// completes only after every element it sent has drained).
-	loadSlots []*uop
-	freeSlots []int32
+	// The writeback timing wheel: issue files each operation under the
+	// bucket of its completion cycle (mod wheelSize), so writeback
+	// visits only the due buckets instead of every in-flight operation.
+	// The wheel spans more cycles than any issue-to-result latency, so a
+	// bucket only ever holds one cycle's operations. A bucket is a list
+	// in issue order threaded through wheelNext (indexed like uops):
+	// wheelHead and wheelTail hold its ends, -1 when empty. wheelBits
+	// marks the non-empty buckets for NextWakeup; wbNext is the first
+	// cycle not yet written back.
+	wheelHead [wheelSize]int32
+	wheelTail [wheelSize]int32
+	wheelNext []int32
+	wheelBits uint64
+	wbNext    int64
+	inflight  int
+
+	// activeLoads are the issued loads still sending element accesses,
+	// oldest first. A load's Processor.uops index is its memory request
+	// tag: it is stable until the load retires, which is after its last
+	// element completed.
+	activeLoads []activeLoad
 
 	// drainFn is the completion callback handed to mem.System.Drain,
 	// bound once at construction: rebuilding the closure every executed
@@ -180,18 +233,19 @@ type Processor struct {
 	drainFn  func(mem.Completion)
 	drainNow int64
 
-	// uopPool recycles retired uops: by retirement a uop has issued,
-	// completed and left every queue, waiter list and lookup structure,
-	// so reuse is safe and saves an allocation per instruction.
-	uopPool []*uop
-
 	mediaBusyUntil []int64
 	fpDivBusyUntil []int64
 
 	simdInFlight int
 
+	// headDone and fqBusy are thread bitmasks: the thread's oldest
+	// instruction has completed, the thread's fetch queue is not empty.
+	// Commit and dispatch start from them instead of scanning every
+	// thread.
+	headDone uint32
+	fqBusy   uint32
+
 	now     int64
-	seq     uint64
 	rr      int
 	ordBuf  []int
 	keysBuf []int
@@ -227,34 +281,49 @@ func New(cfg Config, m mem.System) (*Processor, error) {
 		fpDivBusyUntil: make([]int64, cfg.FPDivs),
 		ordBuf:         make([]int, cfg.Threads),
 		keysBuf:        make([]int, cfg.Threads),
+		threads:        make([]threadState, cfg.Threads),
 	}
 	p.drainFn = p.onLoadCompletion
-	p.qInt = make([]*uop, 0, cfg.IQSize)
-	p.qMem = make([]*uop, 0, cfg.MQSize)
-	p.qFP = make([]*uop, 0, cfg.FQSize)
-	p.qSIMD = make([]*uop, 0, cfg.SQSize)
+	for qid, n := range [4]int{qidInt: cfg.IQSize, qidMem: cfg.MQSize, qidFP: cfg.FQSize, qidSIMD: cfg.SQSize} {
+		p.queues[qid] = newIssueQueue(n)
+	}
 	p.st.PerThreadCommitted = make([]int64, cfg.Threads)
 
-	for i := 0; i < cfg.Threads; i++ {
-		th := &threadState{
-			id:   i,
-			idle: true,
-			rob:  make([]*uop, cfg.ROBPerThread),
-			fq:   make([]fqEntry, cfg.FetchQCap),
+	for b := range p.wheelHead {
+		p.wheelHead[b], p.wheelTail[b] = -1, -1
+	}
+
+	p.robSize = int32(cfg.ROBPerThread)
+	p.uops = make([]uop, cfg.Threads*cfg.ROBPerThread)
+	p.waitNext = make([][3]int32, len(p.uops))
+	p.wheelNext = make([]int32, len(p.uops))
+	// No more loads than uops can be in flight.
+	p.activeLoads = make([]activeLoad, 0, len(p.uops))
+	p.fqCap = int32(cfg.FetchQCap)
+	p.fqSize = p.fqCap + 1 // + the lookahead slot
+	p.fq = make([]trace.Inst, cfg.Threads*int(p.fqSize))
+	p.fqMispred = make([]bool, len(p.fq))
+	p.rmap = make([]int16, cfg.Threads*rmapSize)
+	for i := range p.threads {
+		p.threads[i] = threadState{
+			id:      uint8(i),
+			idle:    true,
+			robBase: int32(i) * p.robSize,
+			fqBase:  int32(i) * p.fqSize,
+			// No more stores than window slots are pending.
+			pendingStores: make([]int32, 0, cfg.ROBPerThread),
 		}
+		rmap := p.rmap[i*rmapSize:]
 		for f := isa.RFInt; f <= isa.RFAcc; f++ {
-			n := isa.LogicalRegs(f)
-			th.rmap[f] = make([]int32, n)
-			for l := 0; l < n; l++ {
-				r, ok := p.rf.file(f).alloc()
+			for l := 0; l < isa.LogicalRegs(f); l++ {
+				r, ok := p.rf.alloc(f)
 				if !ok {
 					return nil, fmt.Errorf("core: not enough %v physical registers for %d threads", f, cfg.Threads)
 				}
-				p.rf.setReady(f, r)
-				th.rmap[f][l] = r
+				p.rf.ready[r] = true
+				rmap[regSlot(isa.NewReg(f, l))] = r
 			}
 		}
-		p.threads = append(p.threads, th)
 	}
 	return p, nil
 }
@@ -273,7 +342,7 @@ func (p *Processor) Now() int64 { return p.now }
 // program (the per-benchmark MMX/MOM instruction-count ratio; 1 for
 // MMX runs). The context must be drained.
 func (p *Processor) SetProgram(ctx int, prog trace.Program, factor float64) {
-	th := p.threads[ctx]
+	th := &p.threads[ctx]
 	if !p.ContextDrained(ctx) {
 		panic(fmt.Sprintf("core: SetProgram on busy context %d", ctx))
 	}
@@ -284,11 +353,12 @@ func (p *Processor) SetProgram(ctx int, prog trace.Program, factor float64) {
 	th.fetchBlocked = false
 	th.stallUntil = p.now
 	th.fqHead, th.fqCount = 0, 0
+	p.fqBusy &^= 1 << ctx
 	th.frontCount = 0
 	th.opCount = 0
 	th.hasPend = false
 	if prog != nil {
-		th.advance()
+		p.advance(th)
 	}
 }
 
@@ -296,7 +366,7 @@ func (p *Processor) SetProgram(ctx int, prog trace.Program, factor float64) {
 // its program stream is exhausted (or absent) and the pipeline holds
 // none of its instructions.
 func (p *Processor) ContextDrained(ctx int) bool {
-	th := p.threads[ctx]
+	th := &p.threads[ctx]
 	if th.idle {
 		return true
 	}
@@ -353,17 +423,13 @@ func (p *Processor) Cycle() {
 // fetch until the branch resolves (the simulator never fetches a wrong
 // path; the misprediction cost is the stall plus the redirect penalty).
 func (p *Processor) fetch(now int64) {
-	order := p.fetchOrder(now)
 	groups := 0
-	for _, ti := range order {
+	for _, ti := range p.fetchOrder(now) {
 		if groups >= p.cfg.FetchGroups {
 			break
 		}
-		th := p.threads[ti]
-		if !p.canFetch(th, now) {
-			continue
-		}
-		switch p.memsys.FetchLine(now, ti, th.pending.PC) {
+		th := &p.threads[ti]
+		switch p.memsys.FetchLine(now, ti, p.lookahead(th).PC) {
 		case mem.FetchBusy:
 			p.st.FetchConflict++
 			continue
@@ -374,26 +440,31 @@ func (p *Processor) fetch(now int64) {
 		}
 		groups++
 		anyVec := false
-		for n := 0; n < p.cfg.GroupSize && th.hasPend && th.fqCount < p.cfg.FetchQCap; n++ {
-			in := th.pending
-			inf := in.Op.Info()
+		for n := 0; n < p.cfg.GroupSize && th.hasPend && th.fqCount < p.fqCap; n++ {
+			// The lookahead joins the queue in place; advance then
+			// fills the next slot.
+			slot := p.fqIdx(th, th.fqCount)
+			in := &p.fq[slot]
+			d := &opDescs[in.Op]
 			mispred := false
-			if inf.Branch && inf.Cond {
+			if d.branch && d.cond {
 				p.st.CondBranches++
 				if p.pred.PredictAndTrain(ti, in.PC, in.Taken) != in.Taken {
 					mispred = true
 					p.st.Mispredicts++
 				}
 			}
-			th.fqPush(fqEntry{in: in, mispred: mispred})
+			p.fqMispred[slot] = mispred
+			th.fqCount++
 			th.frontCount++
-			th.opCount += instEquiv(&in)
-			if in.Op.IsMMX() || in.Op.IsMOM() {
+			th.opCount += int32(d.equiv(in))
+			if d.vector {
 				anyVec = true
 			}
-			th.advance()
+			stop := d.branch && (mispred || in.Taken)
+			p.advance(th)
 			p.st.Fetched++
-			if inf.Branch && (mispred || in.Taken) {
+			if stop {
 				if mispred {
 					th.fetchBlocked = true
 				}
@@ -401,27 +472,28 @@ func (p *Processor) fetch(now int64) {
 			}
 		}
 		th.fetchedVec = anyVec
+		if th.fqCount > 0 {
+			p.fqBusy |= 1 << ti
+		}
 	}
-	p.rr = (p.rr + 1) % p.cfg.Threads
+	if p.rr++; p.rr == p.cfg.Threads {
+		p.rr = 0
+	}
 }
 
-func instEquiv(in *trace.Inst) int {
-	if in.Op.Info().Stream && in.SLen > 1 {
-		return int(in.SLen)
-	}
-	return 1
-}
-
+// canFetch reports whether a context may fetch this cycle. Nothing in
+// it changes while fetch runs (FetchLine only touches its own thread's
+// I-cache miss state), so fetchOrder evaluates it once per context
+// before ranking.
 func (p *Processor) canFetch(th *threadState, now int64) bool {
-	return !th.idle && th.hasPend && !th.fetchBlocked &&
-		now >= th.stallUntil && p.memsys.FetchReady(th.id) &&
-		th.fqCount < p.cfg.FetchQCap
+	return th.fqCount < p.fqCap && th.hasPend && !th.idle &&
+		!th.fetchBlocked && now >= th.stallUntil && p.memsys.FetchReady(int(th.id))
 }
 
 // vecPipeEmpty reports whether the vector pipeline has no work (used
 // by the BALANCE policy).
 func (p *Processor) vecPipeEmpty(now int64) bool {
-	if len(p.qSIMD) > 0 || p.simdInFlight > 0 {
+	if p.queues[qidSIMD].count > 0 || p.simdInFlight > 0 {
 		return false
 	}
 	for _, b := range p.mediaBusyUntil {
@@ -432,37 +504,44 @@ func (p *Processor) vecPipeEmpty(now int64) bool {
 	return true
 }
 
-// fetchOrder ranks the hardware contexts for this cycle's fetch
-// according to the configured policy.
+// fetchOrder ranks the contexts that can fetch this cycle according to
+// the configured policy: ascending policy key, ties in round-robin
+// rotation order.
 func (p *Processor) fetchOrder(now int64) []int {
-	n := p.cfg.Threads
-	order := p.ordBuf[:n]
-	for i := 0; i < n; i++ {
-		order[i] = (p.rr + i) % n
-	}
-	var key func(t int) int
-	switch p.cfg.Policy {
-	case PolicyRR:
-		return order
-	case PolicyICOUNT:
-		key = func(t int) int { return p.threads[t].frontCount }
-	case PolicyOCOUNT:
-		key = func(t int) int { return p.threads[t].opCount }
-	case PolicyBALANCE:
-		empty := p.vecPipeEmpty(now)
-		key = func(t int) int {
-			if p.threads[t].fetchedVec == empty {
-				return 0
-			}
-			return 1
+	n := len(p.threads)
+	order := p.ordBuf[:0]
+	t := p.rr
+	for range n {
+		if p.canFetch(&p.threads[t], now) {
+			order = append(order, t)
+		}
+		if t++; t == n {
+			t = 0
 		}
 	}
-	keys := p.keysBuf[:n]
-	for i, t := range order {
-		keys[i] = key(t)
+	keys := p.keysBuf[:len(order)]
+	switch p.cfg.Policy {
+	case PolicyICOUNT:
+		for i, t := range order {
+			keys[i] = int(p.threads[t].frontCount)
+		}
+	case PolicyOCOUNT:
+		for i, t := range order {
+			keys[i] = int(p.threads[t].opCount)
+		}
+	case PolicyBALANCE:
+		empty := p.vecPipeEmpty(now)
+		for i, t := range order {
+			keys[i] = 1
+			if p.threads[t].fetchedVec == empty {
+				keys[i] = 0
+			}
+		}
+	default:
+		return order
 	}
 	// Stable insertion sort: ties keep round-robin rotation order.
-	for i := 1; i < n; i++ {
+	for i := 1; i < len(order); i++ {
 		t, k := order[i], keys[i]
 		j := i - 1
 		for j >= 0 && keys[j] > k {
@@ -476,153 +555,213 @@ func (p *Processor) fetchOrder(now int64) []int {
 
 // dispatch renames and inserts fetched instructions into the
 // graduation window and issue queues, in order within each thread,
-// round-robin across threads, up to DecodeWidth per cycle.
+// round-robin across threads, up to DecodeWidth per cycle. Each round
+// visits, in rotation order, the threads that can still dispatch: a
+// thread leaves once it stalls (in-order within a thread) or its fetch
+// queue empties.
 func (p *Processor) dispatch(now int64) {
 	budget := p.cfg.DecodeWidth
-	n := p.cfg.Threads
-	var blocked [MaxHWContexts]bool
-	for budget > 0 {
-		progress := false
-		for i := 0; i < n && budget > 0; i++ {
-			ti := (p.rr + i) % n
-			th := p.threads[ti]
-			if blocked[ti] || th.fqCount == 0 {
-				continue
-			}
-			if !p.dispatchOne(th, now) {
-				blocked[ti] = true // in-order within a thread: stop on stall
+	var cand [MaxHWContexts]uint8
+	nc := p.rotation(&cand, p.fqBusy)
+	for budget > 0 && nc > 0 {
+		w := 0
+		for k := 0; k < nc && budget > 0; k++ {
+			th := &p.threads[cand[k]]
+			if !p.dispatchOne(th) {
 				continue
 			}
 			budget--
-			progress = true
+			if th.fqCount > 0 {
+				cand[w] = cand[k]
+				w++
+			}
 		}
-		if !progress {
-			break
-		}
+		nc = w
 	}
 }
 
-// Issue-queue identifiers, indexing Processor.readyCount.
-const (
-	qidInt uint8 = iota
-	qidMem
-	qidFP
-	qidSIMD
-)
-
-// dispatchQueue returns the issue queue an instruction dispatches
-// into, with its capacity and identifier.
-func (p *Processor) dispatchQueue(inf *isa.OpInfo) (*[]*uop, int, uint8) {
-	switch {
-	case inf.Mem != isa.MemNone:
-		return &p.qMem, p.cfg.MQSize, qidMem
-	case inf.Unit == isa.UnitMedia:
-		return &p.qSIMD, p.cfg.SQSize, qidSIMD
-	case inf.Class == isa.ClassFP:
-		return &p.qFP, p.cfg.FQSize, qidFP
-	default:
-		return &p.qInt, p.cfg.IQSize, qidInt
+// rotation lists the threads of a thread bitmask in round-robin order
+// from p.rr, and returns how many there are.
+func (p *Processor) rotation(cand *[MaxHWContexts]uint8, mask uint32) int {
+	n := uint(len(p.threads))
+	rr := uint(p.rr)
+	m := uint64(mask)
+	m = (m>>rr | m<<(n-rr)) & (1<<n - 1) // bit k: thread rr+k (mod n)
+	nc := 0
+	for ; m != 0; m &= m - 1 {
+		t := rr + uint(bits.TrailingZeros64(m))
+		if t >= n {
+			t -= n
+		}
+		cand[nc] = uint8(t)
+		nc++
 	}
+	return nc
 }
 
-// dispatchOne renames the thread's oldest fetched instruction. It
-// reports false on a structural stall (window, queue or rename pool).
-func (p *Processor) dispatchOne(th *threadState, now int64) bool {
-	if th.robFull() {
+// opDesc is the pipeline's compact description of an opcode, resolved
+// once from the isa opcode table: fetch and dispatch read this small
+// table instead.
+type opDesc struct {
+	unit   isa.Unit
+	class  isa.Class
+	qid    uint8 // the issue queue it dispatches into
+	lat    uint8
+	ii     uint8
+	mem    bool // load or store
+	store  bool
+	vector bool // an MMX or MOM instruction
+	stream bool
+	branch bool
+	cond   bool
+}
+
+var opDescs = func() (t [isa.NumOpcodes]opDesc) {
+	for op := range t {
+		o := isa.Opcode(op)
+		inf := o.Info()
+		d := opDesc{
+			unit: inf.Unit, class: inf.Class, lat: inf.Lat, ii: inf.II,
+			mem: inf.Mem != isa.MemNone, store: inf.Mem == isa.MemStore,
+			vector: o.IsMMX() || o.IsMOM(),
+			stream: inf.Stream, branch: inf.Branch, cond: inf.Cond,
+		}
+		switch {
+		case d.mem:
+			d.qid = qidMem
+		case inf.Unit == isa.UnitMedia:
+			d.qid = qidSIMD
+		case inf.Class == isa.ClassFP:
+			d.qid = qidFP
+		default:
+			d.qid = qidInt
+		}
+		t[op] = d
+	}
+	return t
+}()
+
+// equiv is an instruction's stream-expanded count: its stream length
+// for a MOM stream operation, else 1 (trace.Inst.Equiv without the
+// opcode table lookup).
+func (d *opDesc) equiv(in *trace.Inst) uint8 {
+	if d.stream && in.SLen > 1 {
+		return in.SLen
+	}
+	return 1
+}
+
+// queueFull reports whether the issue queue an instruction dispatches
+// into has no room.
+func (p *Processor) queueFull(op isa.Opcode) bool {
+	return p.queues[opDescs[op].qid].full()
+}
+
+// dispatchOne renames the thread's oldest fetched instruction into the
+// graduation window's tail slot. It reports false on a structural stall
+// (window, queue or rename pool), leaving all state untouched.
+func (p *Processor) dispatchOne(th *threadState) bool {
+	if th.robCount == p.robSize {
 		p.st.ROBStalls++
 		return false
 	}
-	e := th.fqFront()
-	inf := e.in.Op.Info()
-
-	q, qCap, qid := p.dispatchQueue(inf)
-	if len(*q) >= qCap {
+	head := th.fqBase + th.fqHead
+	in := &p.fq[head]
+	d := &opDescs[in.Op]
+	q := &p.queues[d.qid]
+	if q.full() {
 		p.st.QueueStalls++
 		return false
 	}
 
-	var u *uop
-	if n := len(p.uopPool); n > 0 {
-		u = p.uopPool[n-1]
-		p.uopPool[n-1] = nil
-		p.uopPool = p.uopPool[:n-1]
-	} else {
-		u = new(uop)
-	}
-	*u = uop{
-		in:      e.in,
-		info:    inf,
-		thread:  int32(th.id),
-		mispred: e.mispred,
-		dstPhys: -1,
-		oldDst:  -1,
-	}
-	u.srcPhys[0], u.srcPhys[1], u.srcPhys[2] = -1, -1, -1
-
-	// Rename sources against the current map.
-	for i, r := range [3]isa.Reg{e.in.Src1, e.in.Src2, e.in.Src3} {
-		if r == isa.RegNone {
-			continue
+	// Rename sources against the current map, before the destination
+	// remaps (an instruction may read the register it writes).
+	rmap := p.rmap[int(th.id)*rmapSize:]
+	srcs := [3]isa.Reg{in.Src1, in.Src2, in.Src3}
+	var srcPhys [3]int16
+	for i := range srcs {
+		if r := srcs[i]; r != isa.RegNone {
+			srcPhys[i] = rmap[regSlot(r)]
 		}
-		u.srcFile[i] = r.File()
-		u.srcPhys[i] = th.rmap[r.File()][r.Idx()]
-		u.nsrc = i + 1
 	}
 
 	// Allocate the destination.
-	if d := e.in.Dst; d != isa.RegNone {
-		f := d.File()
-		phys, ok := p.rf.file(f).alloc()
+	dstPhys, oldDst := int16(-1), int16(-1)
+	if dst := in.Dst; dst != isa.RegNone {
+		phys, ok := p.rf.alloc(dst.File())
 		if !ok {
 			p.st.RenameStalls++
-			// The uop taken from the pool above never entered the
-			// pipeline; hand it back instead of leaking it to the GC
-			// (rename stalls repeat every cycle until a register frees).
-			p.uopPool = append(p.uopPool, u)
 			return false
 		}
-		u.dstFile = f
-		u.dstPhys = phys
-		u.oldDst = th.rmap[f][d.Idx()]
-		th.rmap[f][d.Idx()] = phys
-	}
-
-	u.seq = p.seq
-	p.seq++
-
-	if inf.Mem != isa.MemNone {
-		u.isLoad = inf.Mem == isa.MemLoad
-		u.isStore = inf.Mem == isa.MemStore
-		u.isVector = e.in.Op.IsMMX() || e.in.Op.IsMOM()
-		u.elemsTotal = int32(e.in.ElemCount())
-	}
-
-	th.fqPop()
-	th.robPush(u)
-	if u.isStore {
-		th.pendingStores = append(th.pendingStores, u)
+		dstPhys = phys
+		oldDst = rmap[regSlot(dst)]
+		rmap[regSlot(dst)] = phys
 	}
 
 	// Scoreboard registration: park the uop on each outstanding source;
-	// wakeReg counts it ready when the last producer completes. A ready
+	// wakeReg marks it ready when the last producer completes. A ready
 	// bit can only flip true→false through alloc, and a register is
 	// never reallocated while a consumer still waits on it (in-order
 	// retire frees the previous mapping only after all its readers have
 	// retired), so readiness memoized here stays valid.
-	u.qid = qid
-	for i := 0; i < u.nsrc; i++ {
-		if u.srcPhys[i] < 0 {
-			continue
-		}
-		f := p.rf.file(u.srcFile[i])
-		if !f.ready[u.srcPhys[i]] {
-			f.waiters[u.srcPhys[i]] = append(f.waiters[u.srcPhys[i]], u)
-			u.waitCount++
+	idx := p.robIdx(th, th.robCount)
+	rf := p.rf
+	var waitCount uint8
+	for i := range srcs {
+		if s := srcPhys[i]; srcs[i] != isa.RegNone && !rf.ready[s] {
+			p.waitNext[idx][i] = rf.waitHead[s]
+			rf.waitHead[s] = idx<<2 | int32(i)
+			waitCount++
 		}
 	}
-	if u.waitCount == 0 {
-		p.readyCount[qid]++
+
+	eq := d.equiv(in)
+	lat, busy := d.lat, d.ii
+	if d.unit == isa.UnitMedia {
+		// A stream occupies the media unit for ceil(SLen/pipes) cycles
+		// and delivers its last sub-operation after that occupancy.
+		occ := uint8(1)
+		if eq > 1 {
+			pipes := p.cfg.MediaPipes
+			occ = uint8((int(eq) + pipes - 1) / pipes)
+		}
+		lat += occ - 1
+		busy = occ
 	}
-	*q = append(*q, u)
+
+	// Fill the slot field by field: a composite literal would be built
+	// on the stack and block-copied, and the copy's wide loads of the
+	// narrow stores just made stall store forwarding.
+	u := &p.uops[idx]
+	*u = uop{}
+	u.addr = in.Addr
+	u.stride = in.Stride
+	u.dstPhys = dstPhys
+	u.oldDst = oldDst
+	u.thread = th.id
+	u.unit = d.unit
+	u.class = d.class
+	u.qid = d.qid
+	u.lat = lat
+	u.busy = busy
+	u.equiv = eq
+	u.waitCount = waitCount
+	u.mispred = p.fqMispred[head]
+	if d.mem {
+		u.isStore = d.store
+		u.isVector = d.vector
+	}
+	q.push(p, idx, u)
+
+	if th.fqHead++; th.fqHead == p.fqSize {
+		th.fqHead = 0
+	}
+	if th.fqCount--; th.fqCount == 0 {
+		p.fqBusy &^= 1 << th.id
+	}
+	th.robCount++
+	if u.isStore {
+		th.pendingStores = append(th.pendingStores, idx)
+	}
 	return true
 }
