@@ -14,9 +14,21 @@
 // last-write-wins without torn entries. Reads are corruption-tolerant:
 // a missing, truncated, unparsable, or mislabelled entry is a miss,
 // never an error.
+//
+// Reads are also content-verified and memoized: Get reads the entry
+// file on every call, and when its bytes equal the bytes a previous
+// successful decode came from, it returns a copy of that decoded
+// result instead of decoding again. Any other bytes take the full
+// validate-and-decode path, whose success refills the memo. The disk
+// stays the source of truth — a corrupt, deleted or rewritten entry
+// is seen on the next read exactly as without the memo, and the
+// hit/miss/write counters do not change. The memo is filled only by
+// decodes (never by Put, never preloaded) and bounded by memoCap
+// entries with first-in-first-out eviction; it has no knob.
 package cache
 
 import (
+	"bytes"
 	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
@@ -26,7 +38,9 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -81,6 +95,23 @@ type Cache struct {
 	misses    atomic.Int64
 	writes    atomic.Int64
 	writeErrs atomic.Int64
+
+	memoMu   sync.Mutex
+	memo     map[string]memoEntry // key → last successfully decoded entry
+	memoRing []string             // memo keys in insertion order, ≤ memoCap
+	memoNext int                  // ring slot the next new key evicts once full
+}
+
+// memoCap bounds the decoded-result memo. An entry holds the file's
+// bytes plus the decoded result, a few KB, so a full memo stays in the
+// low tens of MB; the headline experiment needs 17 entries.
+const memoCap = 4096
+
+// memoEntry pairs an entry file's bytes with the result they decoded
+// to. Both are immutable once stored; callers get copies of res.
+type memoEntry struct {
+	data []byte
+	res  *sim.Result
 }
 
 // tmpPrefix marks in-flight Put temp files; Prune recognizes (and
@@ -124,7 +155,7 @@ func OpenAt(dir, fingerprint string) (*Cache, error) {
 	if err := os.MkdirAll(fpDir, 0o755); err != nil {
 		return nil, fmt.Errorf("cache: %w", err)
 	}
-	return &Cache{dir: dir, fp: fingerprint, fpDir: fpDir}, nil
+	return &Cache{dir: dir, fp: fingerprint, fpDir: fpDir, memo: make(map[string]memoEntry)}, nil
 }
 
 // Dir reports the cache root.
@@ -172,12 +203,18 @@ func (c *Cache) path(key string) string {
 // absence: no entry, unreadable file, truncated or corrupt JSON, an
 // envelope labelled with a different fingerprint or key, or a result
 // body that no longer decodes. A bad entry is left in place for a
-// later Put to overwrite.
+// later Put to overwrite. Every call reads the file; bytes identical
+// to an earlier successful decode skip decoding (see the package
+// comment). The result is the caller's own copy.
 func (c *Cache) Get(key string) (*sim.Result, bool) {
 	data, err := os.ReadFile(c.path(key))
 	if err != nil {
 		c.misses.Add(1)
 		return nil, false
+	}
+	if r, ok := c.memoGet(key, data); ok {
+		c.hits.Add(1)
+		return cloneResult(r), true
 	}
 	var e entry
 	if err := json.Unmarshal(data, &e); err != nil || e.Fingerprint != c.fp || e.Key != key {
@@ -189,8 +226,57 @@ func (c *Cache) Get(key string) (*sim.Result, bool) {
 		c.misses.Add(1)
 		return nil, false
 	}
+	c.memoPut(key, data, r)
 	c.hits.Add(1)
-	return r, true
+	return cloneResult(r), true
+}
+
+// memoGet returns the memoized result for key if it was decoded from
+// exactly data.
+func (c *Cache) memoGet(key string, data []byte) (*sim.Result, bool) {
+	c.memoMu.Lock()
+	m, ok := c.memo[key]
+	c.memoMu.Unlock()
+	if !ok || !bytes.Equal(m.data, data) {
+		return nil, false
+	}
+	return m.res, true
+}
+
+// memoPut records that data decoded to r under key. A key already in
+// the memo is updated in place; a new key takes the next ring slot,
+// evicting the oldest key once the ring holds memoCap.
+func (c *Cache) memoPut(key string, data []byte, r *sim.Result) {
+	c.memoMu.Lock()
+	defer c.memoMu.Unlock()
+	if _, ok := c.memo[key]; !ok {
+		if len(c.memoRing) < memoCap {
+			c.memoRing = append(c.memoRing, key)
+		} else {
+			delete(c.memo, c.memoRing[c.memoNext])
+			c.memoRing[c.memoNext] = key
+			c.memoNext = (c.memoNext + 1) % memoCap
+		}
+	}
+	c.memo[key] = memoEntry{data: data, res: r}
+}
+
+// cloneResult copies r deeply enough that no caller can reach another
+// caller's memory: the struct by value, plus every slice and pointer
+// Result reaches (TestCloneResultCoversReferences pins the list).
+func cloneResult(r *sim.Result) *sim.Result {
+	out := *r
+	out.Core.PerThreadCommitted = slices.Clone(r.Core.PerThreadCommitted)
+	out.Cfg.Programs = slices.Clone(r.Cfg.Programs)
+	if r.Cfg.CoreOverride != nil {
+		co := *r.Cfg.CoreOverride
+		out.Cfg.CoreOverride = &co
+	}
+	if r.Cfg.MemOverride != nil {
+		mo := *r.Cfg.MemOverride
+		out.Cfg.MemOverride = &mo
+	}
+	return &out
 }
 
 // Put persists r under key atomically: the entry is written to a temp

@@ -24,13 +24,16 @@ type resultStore interface {
 // workers, or a sharded combination. It is safe for concurrent use:
 // experiments rendered in parallel, or a Prefetch racing lazy Run
 // calls, all collapse onto the same in-flight execution. With a store
-// attached, run() reads through it (memory → disk → execute) and
-// writes freshly executed results behind the waiters' backs, so
-// in-process dedup and cross-process persistence compose. The
-// executor may share its capacity with other schedulers through a
-// Runner, bounding executions in flight across every job in the
-// process; the singleflight map, counters and store wrapper stay
-// per-scheduler.
+// attached, run() reads through it (this job's singleflight map →
+// store → execute) and writes freshly executed results behind the
+// waiters' backs, so in-process dedup and cross-process persistence
+// compose. The singleflight map lives and dies with one job (one
+// Suite); reuse across jobs in one process comes from the store
+// itself, whose decoded-result memo (internal/cache) skips re-decoding
+// unchanged entries. The executor may share its capacity with other
+// schedulers through a Runner, bounding executions in flight across
+// every job in the process; the singleflight map, counters and store
+// wrapper stay per-scheduler.
 type scheduler struct {
 	exec  dist.Executor
 	store resultStore    // optional persistent layer; nil disables it

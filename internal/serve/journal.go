@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -54,6 +55,12 @@ const seqFile = "_seq"
 // one process that owns the directory.
 type Journal struct {
 	dir string
+
+	// seqMu serializes raising the durable high-water mark; seq is the
+	// value _seq holds, read once at open, so concurrent appends can
+	// neither lower it nor each re-read the file.
+	seqMu sync.Mutex
+	seq   int64
 }
 
 // OpenJournal opens (creating as needed) a journal rooted at dir.
@@ -64,7 +71,7 @@ func OpenJournal(dir string) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	return &Journal{dir: dir}, nil
+	return &Journal{dir: dir, seq: readSeq(filepath.Join(dir, seqFile))}, nil
 }
 
 // Dir reports the journal directory.
@@ -121,11 +128,7 @@ func (jl *Journal) Load() ([]JobRecord, int64, error) {
 			continue
 		}
 		if name == seqFile {
-			if data, err := os.ReadFile(filepath.Join(jl.dir, name)); err == nil {
-				if n, err := strconv.ParseInt(strings.TrimSpace(string(data)), 10, 64); err == nil && n > maxSeq {
-					maxSeq = n
-				}
-			}
+			maxSeq = max(maxSeq, readSeq(filepath.Join(jl.dir, name)))
 			continue
 		}
 		if !strings.HasSuffix(name, ".json") {
@@ -156,16 +159,33 @@ func (jl *Journal) Load() ([]JobRecord, int64, error) {
 	return recs, maxSeq, nil
 }
 
-// bumpSeq raises the durable sequence high-water mark; it never
-// lowers it (a concurrent append may have written a higher one).
-func (jl *Journal) bumpSeq(seq int64) error {
-	path := filepath.Join(jl.dir, seqFile)
-	if data, err := os.ReadFile(path); err == nil {
-		if cur, err := strconv.ParseInt(strings.TrimSpace(string(data)), 10, 64); err == nil && cur >= seq {
-			return nil
-		}
+// readSeq parses a _seq file; a missing or unreadable one is 0.
+func readSeq(path string) int64 {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return 0
 	}
-	return jl.writeAtomic(path, []byte(strconv.FormatInt(seq, 10)))
+	n, err := strconv.ParseInt(strings.TrimSpace(string(data)), 10, 64)
+	if err != nil {
+		return 0
+	}
+	return n
+}
+
+// bumpSeq raises the durable sequence high-water mark; it never
+// lowers it. The check and the write happen under one lock, so the
+// last write is always the highest sequence appended so far.
+func (jl *Journal) bumpSeq(seq int64) error {
+	jl.seqMu.Lock()
+	defer jl.seqMu.Unlock()
+	if seq <= jl.seq {
+		return nil
+	}
+	if err := jl.writeAtomic(filepath.Join(jl.dir, seqFile), []byte(strconv.FormatInt(seq, 10))); err != nil {
+		return err
+	}
+	jl.seq = seq
+	return nil
 }
 
 // writeAtomic is the cache's temp-file-plus-rename discipline: a

@@ -3,11 +3,13 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -67,6 +69,59 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	if maxSeq != 3 {
 		t.Fatalf("maxSeq after full settle = %d, want 3 (the _seq high-water mark)", maxSeq)
+	}
+}
+
+// TestJournalSeqConcurrentAppends: concurrent submissions must leave
+// the durable high-water mark at the highest sequence appended, so
+// that once every job has settled a restart still issues fresh ids.
+// Run it under -race.
+func TestJournalSeqConcurrentAppends(t *testing.T) {
+	for trial := range 5 {
+		jl, err := OpenJournal(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		const n = 32
+		var wg sync.WaitGroup
+		errs := make(chan error, n)
+		for i := 1; i <= n; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				id := fmt.Sprintf("job-%d", i)
+				if err := jl.Append(JobRecord{ID: id, Seq: int64(i)}); err != nil {
+					errs <- err
+					return
+				}
+				if err := jl.Settle(id); err != nil {
+					errs <- err
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		recs, maxSeq, err := jl.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 0 || maxSeq != n {
+			t.Fatalf("trial %d: %d records, maxSeq %d; want 0 and %d", trial, len(recs), maxSeq, n)
+		}
+		// A reopened journal (a restarted daemon) keeps the mark too.
+		jl2, err := OpenJournal(jl.Dir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := jl2.Append(JobRecord{ID: "job-5", Seq: 5}); err != nil {
+			t.Fatal(err)
+		}
+		if _, maxSeq, _ := jl2.Load(); maxSeq != n {
+			t.Fatalf("trial %d: maxSeq after a lower append on a reopened journal = %d, want %d", trial, maxSeq, n)
+		}
 	}
 }
 
